@@ -113,17 +113,12 @@ class Gcs:
     @classmethod
     def recover_from_journal(cls, journal_path: str) -> "Gcs":
         """Rebuild a store by replaying a journal file (head-node crash)."""
-        g = cls()
         with open(journal_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    g.transaction(json.loads(line))
-        return g
+            return cls.replay([json.loads(line) for line in fh if line.strip()])
 
     @classmethod
     def replay(cls, journal: list[list[list]]) -> "Gcs":
-        """Rebuild a store from an in-memory journal (for tests)."""
+        """Rebuild a store by re-applying a journal's transactions in order."""
         g = cls()
         for txn in journal:
             g.transaction(txn)

@@ -59,13 +59,12 @@ class RecoveryPlan:
 def plan_recovery(
     store: LineageStore,
     *,
-    stage_upstreams: dict[int, list[int]],
     stage_channels: dict[int, int],
     input_stages: set[int],
     dead_workers: set[int],
     live_workers: list[int],
+    upstream_channels: dict[ChannelId, list[ChannelId]],
     extra_dests: frozenset[ChannelId] | set[ChannelId] = frozenset(),
-    upstream_channels: dict[ChannelId, list[ChannelId]] | None = None,
 ) -> RecoveryPlan:
     """Algorithm 2. ``store`` is read; the caller applies the plan.
 
@@ -74,9 +73,9 @@ def plan_recovery(
     their outstanding input needs are re-planned exactly like a rewound
     channel's (the replay tasks feeding them may have died too).
 
-    ``upstream_channels``: per-channel upstream wiring. Defaults to every
-    channel of every upstream stage; the engine passes the real wiring,
-    where fused ("aligned") consumers depend only on their twin channel.
+    ``upstream_channels``: per-channel upstream wiring. A fused
+    ("aligned") consumer depends only on its twin channel, not on every
+    channel of its upstream stage.
     """
     if not live_workers:
         raise RuntimeError("no live workers left; query cannot be recovered")
@@ -111,15 +110,7 @@ def plan_recovery(
             # channel this one is wired to (the rewound channel retraces
             # its whole history and keeps any surplus for its post-retrace
             # dynamic continuation).
-            if upstream_channels is not None:
-                ups = upstream_channels[cid]
-            else:
-                ups = [
-                    (s, c)
-                    for s in stage_upstreams[stage]
-                    for c in range(stage_channels[s])
-                ]
-            for u in ups:
+            for u in upstream_channels[cid]:
                 up_stage = u[0]
                 if u in rewound and up_stage not in input_stages:
                     continue  # u re-executes and re-pushes everything

@@ -50,13 +50,9 @@ class DurableStore:
 
     def __init__(self) -> None:
         self.objects: dict[TaskName, Optional[pd.DataFrame]] = {}
-        self.bytes_written = 0
-        self.puts = 0
 
-    def put(self, name: TaskName, pdf: Optional[pd.DataFrame], nbytes: int) -> None:
+    def put(self, name: TaskName, pdf: Optional[pd.DataFrame]) -> None:
         self.objects[name] = pdf
-        self.bytes_written += nbytes
-        self.puts += 1
 
     def get(self, name: TaskName) -> Optional[pd.DataFrame]:
         return self.objects[name]

@@ -32,11 +32,13 @@ Execution modes (the experiment matrix; DESIGN.md §3):
   ``checkpoint``. With ``none`` there are no backups at all, so a
   failure degenerates to re-executing the whole pipeline — the paper's
   "restart from scratch" baseline, measured rather than assumed.
-* ``recovery_mode``: ``pipelined_parallel`` (Quokka: stateful channels
-  retrace task-by-task, different stages on different workers) |
-  ``data_parallel`` (Spark-sim: a rewound channel recomputes its entire
-  logged history as one monolithic task once all inputs are present —
-  Spark's task granularity — so lost channels spread across the cluster).
+* ``recovery_mode``: both modes re-execute the logged lineage through
+  one retrace path and differ only in task granularity.
+  ``pipelined_parallel`` (Quokka: a rewound channel retraces one logged
+  record per task, different stages on different workers) |
+  ``data_parallel`` (Spark-sim: one task retraces the channel's entire
+  remaining history once all its inputs are present — Spark's task
+  granularity — so lost channels spread across the cluster).
 """
 from __future__ import annotations
 
@@ -61,7 +63,7 @@ from ..core.wal import DURABLE, LineageStore
 from .cluster import DurableStore, Worker
 from .operators import Operator
 from .partition import partition
-from .plan import OpStage, Plan, ScanStage
+from .plan import OpStage, Plan, ScanStage, Stage
 from .simtime import CostModel
 from .util import concat_batches, pdf_nbytes, row_nbytes
 
@@ -100,37 +102,42 @@ class RunResult:
     stats: dict
 
 
+@dataclass
+class Task:
+    """One channel task. Its kernel runs eagerly at launch; the outputs
+    and lineage records are held here until the completion event applies
+    them (a cancelled task's effects are simply dropped)."""
+
+    outputs: list[tuple[int, Optional[pd.DataFrame]]]  # (seq, output)
+    records: list[LineageRecord]
+    bytes_in: int
+    scan: bool = False
+    close: Optional[int] = None  # channel's output total, on its last task
+    retrace: bool = False  # re-executes committed lineage; commits nothing
+
+
+@dataclass(eq=False)
 class ChannelRt:
     """Runtime state of one channel (TaskManager-side view)."""
 
-    def __init__(
-        self,
-        cid: ChannelId,
-        spec,
-        worker: int,
-        upstream_cids: list[ChannelId],
-        uidx: dict[ChannelId, int],
-        op: Optional[Operator],
-        scan_batches: list[int],
-    ) -> None:
-        self.cid = cid
-        self.spec = spec
-        self.worker = worker
-        self.upstream_cids = upstream_cids
-        self.uidx = uidx
-        self.op = op
-        self.scan_batches = scan_batches
-        self.next_seq = 0
-        self.retrace = 0  # replay committed lineage for seq < retrace
-        self.retrace_records: list[LineageRecord] = []
-        self.monolithic = False
-        self.watermark: dict[ChannelId, int] = {}
-        self.inbox: dict[ChannelId, dict[int, Optional[pd.DataFrame]]] = {}
-        self.flushed = False
-        self.active = False
-        self.started = False
-        self.done = False
-        self.exec_count = 0
+    cid: ChannelId
+    spec: Stage
+    worker: int
+    upstream_cids: list[ChannelId]
+    uidx: dict[ChannelId, int]
+    op: Optional[Operator]
+    scan_batches: list[int]
+    next_seq: int = 0
+    retrace: int = 0  # replay committed lineage for seq < retrace
+    retrace_records: list[LineageRecord] = field(default_factory=list)
+    watermark: dict[ChannelId, int] = field(default_factory=dict)
+    inbox: dict[ChannelId, dict[int, Optional[pd.DataFrame]]] = field(
+        default_factory=dict
+    )
+    flushed: bool = False
+    active: bool = False
+    started: bool = False
+    done: bool = False
 
     def avail(self, u: ChannelId) -> int:
         """Consecutive inputs from ``u`` present at the watermark."""
@@ -186,17 +193,15 @@ class Executor:
                 # An "aligned" upstream is a fused pipe: this channel is
                 # wired only to its same-index producer, not to every
                 # channel of the upstream stage.
-                ups: list[ChannelId] = []
-                uidx: dict[ChannelId, int] = {}
+                uidx: dict[ChannelId, int] = {}  # upstream channel -> input
                 if isinstance(spec, OpStage):
                     for i, up in enumerate(spec.upstreams):
                         if spec.partition_keys[i] == "aligned":
-                            ups.append((up, ch))
                             uidx[(up, ch)] = i
                         else:
                             for uch in range(self.widths[up]):
-                                ups.append((up, uch))
                                 uidx[(up, uch)] = i
+                ups = list(uidx)  # plans are trees: no upstream repeats
                 worker = ch % cfg.n_workers
                 if isinstance(spec, ScanStage):
                     n_batches = len(tables[spec.table])
@@ -218,6 +223,12 @@ class Executor:
                 cons is not None
                 and plan.stages[cons[0]].partition_keys[cons[1]] == "aligned"
             )
+        # Where task outputs persist, read once from ``ft_mode``: a backup
+        # on the producing worker's NVMe (lost with the worker), a durable
+        # spool of this kind (survives any failure), or nowhere ("none").
+        self.backup_local = cfg.ft_mode in ("wal", "checkpoint")
+        self.spool_kind = {"spool_s3": "s3", "spool_hdfs": "hdfs"}.get(cfg.ft_mode)
+        self.checkpoint = cfg.ft_mode == "checkpoint"
 
         self.host: dict[int, list[ChannelId]] = {w.wid: [] for w in self.workers}
         for cid, rt in sorted(self.channels.items()):
@@ -225,8 +236,10 @@ class Executor:
         self._cursor: dict[int, int] = {w.wid: 0 for w in self.workers}
 
         # -- event machinery -------------------------------------------------
-        self._heap: list[tuple[float, int, str, int]] = []
-        self._payloads: dict[int, dict] = {}
+        #: (time, eid, kind, payload); kind is task | replay | rescan |
+        #: fail | detect | recover. eids are unique, so ties on time break
+        #: by push order and payloads are never compared.
+        self._heap: list[tuple[float, int, str, object]] = []
         self._counter = 0
         self._cancelled: set[int] = set()
         self._active_eids: dict[int, set[int]] = {w.wid: set() for w in self.workers}
@@ -245,18 +258,22 @@ class Executor:
             "n_rescans": 0,
             "n_recoveries": 0,
             "rewound": [],
-            "exec_count": {},
             "spooled_bytes": 0,
         }
 
     # ------------------------------------------------------------------ events
 
-    def _push(self, t: float, kind: str, payload: dict) -> int:
+    def _push(self, t: float, kind: str, payload: object = None) -> int:
         self._counter += 1
-        eid = self._counter
-        self._payloads[eid] = payload
-        heapq.heappush(self._heap, (t, eid, kind, eid))
-        return eid
+        heapq.heappush(self._heap, (t, self._counter, kind, payload))
+        return self._counter
+
+    def _start(self, t: float, w: Worker, kind: str, payload: tuple) -> None:
+        """Occupy a slot on ``w`` with a task completing at ``t``."""
+        w.free_slots -= 1
+        eid = self._push(t, kind, payload)
+        self._active_eids[w.wid].add(eid)
+        self.n_active += 1
 
     # ------------------------------------------------------------------- run
 
@@ -269,20 +286,24 @@ class Executor:
                 self.store.gcs.set("closed", f"{cid[0]}.{cid[1]}", 0)
                 rt.done = True
         for f in failures:
-            self._push(f.at_time, "fail", {"worker": f.worker})
+            self._push(f.at_time, "fail", f.worker)
+        completions = {
+            "task": self._apply_task,
+            "replay": self._apply_replay,
+            "rescan": self._apply_rescan,
+        }
         self._schedule_pass(0.0)
         now = 0.0
         while self._heap:
-            t, _, kind, eid = heapq.heappop(self._heap)
-            payload = self._payloads.pop(eid)
+            t, eid, kind, p = heapq.heappop(self._heap)
             now = max(now, t)
             if eid in self._cancelled:
                 self._cancelled.discard(eid)
                 continue
-            if kind == "done":
-                self._apply_done(now, eid, payload)
+            if kind in completions:  # payload[0] is the task's worker
+                self._finish_event(now, eid, p[0], completions[kind](*p))
             elif kind == "fail":
-                self._apply_fail(now, payload["worker"])
+                self._apply_fail(now, p)
             elif kind == "detect":
                 self._apply_detect(now)
             elif kind == "recover":
@@ -300,9 +321,6 @@ class Executor:
         df = concat_batches(frames)
         if df is None:
             df = pd.DataFrame()
-        self.stats["exec_count"] = {
-            cid: rt.exec_count for cid, rt in self.channels.items()
-        }
         self.stats["gcs_txns"] = self.store.gcs.txn_count
         return RunResult(df=df, sim_time=now, stats=dict(self.stats))
 
@@ -311,11 +329,11 @@ class Executor:
     def _stage_ready(self, sid: int) -> bool:
         if self.cfg.exec_mode != "stagewise":
             return True
-        for up in self.plan.stages[sid].upstreams:
-            for ch in range(self.widths[up]):
-                if self.store.closed_total((up, ch)) is None:
-                    return False
-        return True
+        return all(
+            self.store.closed_total((up, ch)) is not None
+            for up in self.plan.stages[sid].upstreams
+            for ch in range(self.widths[up])
+        )
 
     def _schedule_pass(self, now: float, wids: Optional[set[int]] = None) -> None:
         """Try to fill free slots. ``wids`` limits the scan to workers
@@ -335,8 +353,11 @@ class Executor:
                 continue
             while w.free_slots > 0:
                 if self.special[w.wid]:
-                    item = self.special[w.wid].popleft()
-                    self._launch_special(now, w, item)
+                    kind, *args = self.special[w.wid].popleft()
+                    if kind == "replay":
+                        self._launch_replay(now, w, *args)
+                    else:
+                        self._launch_rescan(now, w, *args)
                     continue
                 launched = self._launch_some_channel(now, w)
                 if not launched:
@@ -353,18 +374,18 @@ class Executor:
             rt = self.channels[cid]
             if rt.active or rt.done:
                 continue
-            desc = self._build_task(rt)
-            if desc is not None:
+            task = self._build_task(rt)
+            if task is not None:
                 self._cursor[w.wid] = (start + off + 1) % n
-                self._launch(now, w, rt, desc)
+                self._launch(now, w, rt, task)
                 return True
         return False
 
     # -------------------------------------------------------- task construction
 
-    def _build_task(self, rt: ChannelRt) -> Optional[dict]:
+    def _build_task(self, rt: ChannelRt) -> Optional[Task]:
         """Gather inputs and execute the kernel eagerly (effects are held
-        in the returned descriptor and applied at the completion event;
+        in the returned :class:`Task` and applied at the completion event;
         cancellation discards them together with the channel state)."""
         if not self._stage_ready(rt.cid[0]):
             return None
@@ -374,29 +395,29 @@ class Executor:
             return self._build_retrace(rt)
         return self._build_streaming(rt)
 
-    def _build_scan(self, rt: ChannelRt) -> Optional[dict]:
-        if rt.next_seq >= len(rt.scan_batches):
-            return None
-        seq = rt.next_seq
-        batch_idx = rt.scan_batches[seq]
-        retrace = seq < rt.retrace
-        if retrace:
-            rec = rt.retrace_records[seq]
-            assert isinstance(rec, ScanLineage) and rec.batch_idx == batch_idx
-        raw = self.tables[rt.spec.table][batch_idx]
-        out = rt.spec.map_fn(raw) if rt.spec.map_fn else raw
+    def _read_batch(
+        self, spec: ScanStage, batch_idx: int
+    ) -> tuple[pd.DataFrame, Optional[pd.DataFrame]]:
+        """(raw source batch, mapped output or None when empty)."""
+        raw = self.tables[spec.table][batch_idx]
+        out = spec.map_fn(raw) if spec.map_fn else raw
         if out is not None and len(out) == 0:
             out = None
+        return raw, out
+
+    def _build_scan(self, rt: ChannelRt) -> Optional[Task]:
+        # Input channels never retrace: recovery resumes them at their next
+        # un-scanned batch and re-runs lost committed scans as rescans.
+        seq = rt.next_seq
+        if seq >= len(rt.scan_batches):
+            return None
+        batch_idx = rt.scan_batches[seq]
+        raw, out = self._read_batch(rt.spec, batch_idx)
         close = len(rt.scan_batches) if seq == len(rt.scan_batches) - 1 else None
-        return {
-            "type": "scan",
-            "outputs": [(seq, out)],
-            "records": [ScanLineage(batch_idx)],
-            "bytes_in": pdf_nbytes(raw),
-            "scan": True,
-            "close": close,
-            "retrace": retrace,
-        }
+        return Task(
+            [(seq, out)], [ScanLineage(batch_idx)], pdf_nbytes(raw),
+            scan=True, close=close,
+        )
 
     def _gather(self, rt: ChannelRt, u: ChannelId, start: int, k: int):
         """Consume outputs [start, start+k) of ``u`` into the operator.
@@ -420,66 +441,32 @@ class Executor:
         rt.watermark[u] = start + k
         return out, bytes_in
 
-    def _build_retrace(self, rt: ChannelRt) -> Optional[dict]:
-        recs = rt.retrace_records
-        if rt.monolithic:
-            # Spark-sim granularity: the whole logged history is one task.
-            for i in range(rt.next_seq, rt.retrace):
-                rec = recs[i]
-                if isinstance(rec, ConsumeLineage):
-                    box = rt.inbox.get(rec.upstream, {})
-                    if any((rec.start + j) not in box for j in range(rec.count)):
-                        return None
-            outputs, records, bytes_in = [], [], 0
-            for i in range(rt.next_seq, rt.retrace):
-                rec = recs[i]
-                if isinstance(rec, ConsumeLineage):
-                    out, b = self._gather(rt, rec.upstream, rec.start, rec.count)
-                    bytes_in += b
-                elif isinstance(rec, FlushLineage):
-                    out = rt.op.flush()
-                    rt.flushed = True
-                else:  # pragma: no cover - scans never retrace via this path
-                    raise AssertionError(rec)
-                outputs.append((i, out))
-                records.append(rec)
-            return {
-                "type": "consume",
-                "outputs": outputs,
-                "records": records,
-                "bytes_in": bytes_in,
-                "scan": False,
-                "close": None,
-                "retrace": True,
-            }
-        rec = recs[rt.next_seq]
-        if isinstance(rec, ConsumeLineage):
-            box = rt.inbox.get(rec.upstream, {})
-            if any((rec.start + j) not in box for j in range(rec.count)):
-                return None
-            out, bytes_in = self._gather(rt, rec.upstream, rec.start, rec.count)
-            return {
-                "type": "consume",
-                "outputs": [(rt.next_seq, out)],
-                "records": [rec],
-                "bytes_in": bytes_in,
-                "scan": False,
-                "close": None,
-                "retrace": True,
-            }
-        if isinstance(rec, FlushLineage):
-            out = rt.op.flush()
-            rt.flushed = True
-            return {
-                "type": "flush",
-                "outputs": [(rt.next_seq, out)],
-                "records": [rec],
-                "bytes_in": 0,
-                "scan": False,
-                "close": None,
-                "retrace": True,
-            }
-        raise AssertionError(rec)  # pragma: no cover
+    def _build_retrace(self, rt: ChannelRt) -> Optional[Task]:
+        """Re-execute logged lineage exactly, once every input it names is
+        present. Quokka retraces one record per task; Spark-sim's task
+        granularity is the channel's whole remaining history."""
+        if self.cfg.recovery_mode == "data_parallel":
+            end = rt.retrace
+        else:
+            end = rt.next_seq + 1
+        recs = rt.retrace_records[rt.next_seq : end]
+        for rec in recs:
+            if isinstance(rec, ConsumeLineage):
+                box = rt.inbox.get(rec.upstream, {})
+                if any((rec.start + j) not in box for j in range(rec.count)):
+                    return None
+        outputs, bytes_in = [], 0
+        for seq, rec in enumerate(recs, rt.next_seq):
+            if isinstance(rec, ConsumeLineage):
+                out, b = self._gather(rt, rec.upstream, rec.start, rec.count)
+                bytes_in += b
+            elif isinstance(rec, FlushLineage):
+                out = rt.op.flush()
+                rt.flushed = True
+            else:  # pragma: no cover - input channels never retrace
+                raise AssertionError(rec)
+            outputs.append((seq, out))
+        return Task(outputs, recs, bytes_in, retrace=True)
 
     def _skip_empty(self, rt: ChannelRt) -> None:
         """Advance watermarks over empty-slice prefixes without a task.
@@ -494,16 +481,14 @@ class Executor:
             box = rt.inbox.get(u)
             if not box:
                 continue
-            w = rt.watermark.get(u, 0)
-            moved = False
+            start = w = rt.watermark.get(u, 0)
             while w in box and box[w] is None:
                 del box[w]
                 w += 1
-                moved = True
-            if moved:
+            if w != start:
                 rt.watermark[u] = w
 
-    def _build_streaming(self, rt: ChannelRt) -> Optional[dict]:
+    def _build_streaming(self, rt: ChannelRt) -> Optional[Task]:
         self._skip_empty(rt)
         best_u, best_avail = None, 0
         all_closed_and_drained = True
@@ -532,34 +517,21 @@ class Executor:
         if best_u is not None:
             start = rt.watermark.get(best_u, 0)
             out, bytes_in = self._gather(rt, best_u, start, best_avail)
-            return {
-                "type": "consume",
-                "outputs": [(rt.next_seq, out)],
-                "records": [ConsumeLineage(best_u, start, best_avail)],
-                "bytes_in": bytes_in,
-                "scan": False,
-                "close": None,
-                "retrace": False,
-            }
+            return Task(
+                [(rt.next_seq, out)],
+                [ConsumeLineage(best_u, start, best_avail)],
+                bytes_in,
+            )
 
         if all_closed_and_drained and not rt.flushed:
-            # All upstream outputs consumed: emit the state variable.
-            drained = all(
-                rt.watermark.get(u, 0) == self.store.closed_total(u)
-                for u in rt.upstream_cids
+            # All upstream outputs consumed (nothing was left to take, so
+            # every watermark sits at its upstream's closed total): emit
+            # the state variable.
+            out = rt.op.flush()
+            rt.flushed = True
+            return Task(
+                [(rt.next_seq, out)], [FlushLineage()], 0, close=rt.next_seq + 1
             )
-            if drained:
-                out = rt.op.flush()
-                rt.flushed = True
-                return {
-                    "type": "flush",
-                    "outputs": [(rt.next_seq, out)],
-                    "records": [FlushLineage()],
-                    "bytes_in": 0,
-                    "scan": False,
-                    "close": rt.next_seq + 1,
-                    "retrace": False,
-                }
         return None
 
     # ------------------------------------------------------------------ launch
@@ -593,25 +565,22 @@ class Executor:
             ((cstage, ch), cid, seq, sl) for ch, sl in enumerate(slices)
         ]
 
-    def _launch(self, now: float, w: Worker, rt: ChannelRt, desc: dict) -> None:
+    def _launch(self, now: float, w: Worker, rt: ChannelRt, task: Task) -> None:
         cfg, cost = self.cfg, self.cost
         sid = rt.cid[0]
-        n_out = len(desc["outputs"])
-        rt.next_seq += n_out
+        rt.next_seq += len(task.outputs)
         rt.active = True
-        w.free_slots -= 1
 
         deliveries = []  # (dest_cid, u_cid, seq, slice)
         bytes_out = 0
         remote_bytes = 0
         remote_slices = 0
-        retrace = desc["retrace"]
-        for seq, out in desc["outputs"]:
+        for seq, out in task.outputs:
             bytes_out += pdf_nbytes(out)
             rowb = row_nbytes(out) if out is not None else 0
             for dest, u, s, sl in self._deliveries_for(rt.cid, seq, out):
                 drt = self.channels[dest]
-                if retrace and drt.retrace == 0:
+                if task.retrace and drt.retrace == 0:
                     # A retracing producer consults the consumers'
                     # *committed* watermarks in the GCS and skips
                     # re-transmitting outputs they provably consumed.
@@ -626,133 +595,92 @@ class Executor:
         if not rt.started and cfg.exec_mode == "stagewise":
             t += cost.stage_sched_s
         rt.started = True
-        if desc["scan"]:
-            t += cost.scan_time(desc["bytes_in"])
+        if task.scan:
+            t += cost.scan_time(task.bytes_in)
         else:
-            t += cost.cpu_time(desc["bytes_in"], bytes_out)
-            if cfg.exec_mode == "stagewise" and desc["bytes_in"]:
+            t += cost.cpu_time(task.bytes_in, bytes_out)
+            if cfg.exec_mode == "stagewise" and task.bytes_in:
                 # Blocking engines materialise shuffle data: consumers
                 # re-read spilled partitions from disk (Spark's shuffle
                 # fetch); pipelined push engines hand batches RAM-to-RAM.
-                t = w.disk.reserve(t, cost.disk_time(desc["bytes_in"]))
+                t = w.disk.reserve(t, cost.disk_time(task.bytes_in))
         if remote_bytes or remote_slices:
             t = w.nic.reserve(
                 t, cost.net_time(remote_bytes) + cost.push_lat_s * remote_slices
             )
-        ft = cfg.ft_mode
+        # Persist (fused pipes persist nothing), then commit; with ft_mode
+        # "none" neither is charged.
         fused = self.fused_out[sid]
-        if ft in ("wal", "checkpoint"):
-            if bytes_out and not fused:
-                t = w.disk.reserve(t, cost.disk_time(bytes_out))
-            t += cost.gcs_txn_s
-        elif ft in ("spool_s3", "spool_hdfs"):
-            kind = "s3" if ft == "spool_s3" else "hdfs"
-            dur = 0.0
-            if not fused:
-                dur = sum(
-                    cost.durable_time(pdf_nbytes(out), kind)
-                    for seq, out in desc["outputs"]
-                    if not (
-                        desc["retrace"]
-                        and (rt.cid[0], rt.cid[1], seq) in self.durable
-                    )
-                )
+        if self.backup_local and bytes_out and not fused:
+            t = w.disk.reserve(t, cost.disk_time(bytes_out))
+        elif self.spool_kind and not fused:
+            dur = sum(
+                cost.durable_time(pdf_nbytes(out), self.spool_kind)
+                for seq, out in task.outputs
+                if not (task.retrace and (sid, rt.cid[1], seq) in self.durable)
+            )
             if dur:
                 t = w.nic.reserve(t, dur)
+        if self.backup_local or self.spool_kind:
             t += cost.gcs_txn_s
-        if ft == "checkpoint" and rt.op is not None:
-            last_seq = desc["outputs"][-1][0]
+        if self.checkpoint and rt.op is not None:
+            last_seq = task.outputs[-1][0]
             if (last_seq + 1) % cfg.ckpt_every == 0:
                 t = w.nic.reserve(t, cost.durable_time(rt.op.state_nbytes(), "s3"))
+        self._start(t, w, "task", (w.wid, rt, task, deliveries))
 
-        eid = self._push(
-            t,
-            "done",
-            {
-                "kind": "task",
-                "worker": w.wid,
-                "cid": rt.cid,
-                "desc": desc,
-                "deliveries": deliveries,
-                "bytes_out": bytes_out,
-            },
-        )
-        self._active_eids[w.wid].add(eid)
-        self.n_active += 1
-
-    def _launch_special(self, now: float, w: Worker, item: tuple) -> None:
+    def _launch_replay(
+        self, now: float, w: Worker, source: TaskName, dest: ChannelId
+    ) -> None:
         cost = self.cost
-        kind = item[0]
-        w.free_slots -= 1
-        if kind == "replay":
-            _, source, dest = item
-            owner_loc = self.store.location(source)
-            if owner_loc == DURABLE:
-                full = self.durable.get(source)
-            else:
-                # The planner only schedules replays whose backup location
-                # is a live worker; a missing key here is a protocol bug.
-                full = w.backups[source]
-            cstage, slices = self._slices_for((source[0], source[1]), full)
-            sl = slices[dest[1]] if slices else None
-            # Upstream backups are stored pre-partitioned (as Spark's map
-            # outputs are), so a replay reads and ships only the slice
-            # the rewound consumer needs.
-            t = now + cost.task_overhead_s
-            if owner_loc == DURABLE:
-                t = w.nic.reserve(
-                    t, cost.s3_lat_s + cost.net_time(pdf_nbytes(sl))
-                )
-            else:
-                t = w.disk.reserve(t, cost.disk_time(pdf_nbytes(sl)))
-                dw = self.channels[dest].worker
-                if dw != w.wid and sl is not None:
-                    t = w.nic.reserve(t, cost.net_time(pdf_nbytes(sl)) + cost.push_lat_s)
-            payload = {
-                "kind": "replay",
-                "worker": w.wid,
-                "source": source,
-                "dest": dest,
-                "slice": sl,
-            }
-        elif kind == "rescan":
-            _, name, batch_idx = item
-            cid = (name[0], name[1])
-            spec = self.plan.stages[name[0]]
-            raw = self.tables[spec.table][batch_idx]
-            out = spec.map_fn(raw) if spec.map_fn else raw
-            if out is not None and len(out) == 0:
-                out = None
-            t = now + cost.task_overhead_s + cost.scan_time(pdf_nbytes(raw))
-            if (
-                self.cfg.ft_mode in ("wal", "checkpoint")
-                and out is not None
-                and not self.fused_out[name[0]]
-            ):
-                t = w.disk.reserve(t, cost.disk_time(pdf_nbytes(out)))
-            payload = {
-                "kind": "rescan",
-                "worker": w.wid,
-                "name": name,
-                "out": out,
-            }
-        else:  # pragma: no cover
-            raise AssertionError(kind)
-        eid = self._push(t, "done", payload)
-        self._active_eids[w.wid].add(eid)
-        self.n_active += 1
+        owner_loc = self.store.location(source)
+        if owner_loc == DURABLE:
+            full = self.durable.get(source)
+        else:
+            # The planner only schedules replays whose backup location
+            # is a live worker; a missing key here is a protocol bug.
+            full = w.backups[source]
+        _, slices = self._slices_for((source[0], source[1]), full)
+        sl = slices[dest[1]] if slices else None
+        # Upstream backups are stored pre-partitioned (as Spark's map
+        # outputs are), so a replay reads and ships only the slice
+        # the rewound consumer needs.
+        t = now + cost.task_overhead_s
+        if owner_loc == DURABLE:
+            t = w.nic.reserve(
+                t, cost.s3_lat_s + cost.net_time(pdf_nbytes(sl))
+            )
+        else:
+            t = w.disk.reserve(t, cost.disk_time(pdf_nbytes(sl)))
+            if self.channels[dest].worker != w.wid and sl is not None:
+                t = w.nic.reserve(t, cost.net_time(pdf_nbytes(sl)) + cost.push_lat_s)
+        self._start(t, w, "replay", (w.wid, source, dest, sl))
+
+    def _launch_rescan(
+        self, now: float, w: Worker, name: TaskName, batch_idx: int
+    ) -> None:
+        cost = self.cost
+        raw, out = self._read_batch(self.plan.stages[name[0]], batch_idx)
+        t = now + cost.task_overhead_s + cost.scan_time(pdf_nbytes(raw))
+        if self.backup_local and out is not None and not self.fused_out[name[0]]:
+            t = w.disk.reserve(t, cost.disk_time(pdf_nbytes(out)))
+        self._start(t, w, "rescan", (w.wid, name, out))
 
     # ------------------------------------------------------------------- apply
 
-    def _deliver(self, dest: ChannelId, u: ChannelId, seq: int, sl) -> None:
-        drt = self.channels[dest]
-        if not self.workers[drt.worker].alive:
-            return
-        if drt.watermark.get(u, 0) > seq:
-            return  # already consumed (re-transmission after recovery)
-        box = drt.inbox.setdefault(u, {})
-        if seq not in box:
-            box[seq] = sl
+    def _deliver(self, deliveries) -> set[int]:
+        """Put (dest, producer, seq, slice) deliveries into the inboxes of
+        live consumers; return the workers hosting every ``dest``."""
+        touched: set[int] = set()
+        for dest, u, seq, sl in deliveries:
+            drt = self.channels[dest]
+            touched.add(drt.worker)
+            if not self.workers[drt.worker].alive:
+                continue
+            if drt.watermark.get(u, 0) > seq:
+                continue  # already consumed (re-transmission after recovery)
+            drt.inbox.setdefault(u, {}).setdefault(seq, sl)
+        return touched
 
     def _finish_event(
         self, now: float, eid: int, wid: int, touched: set[int]
@@ -765,85 +693,82 @@ class Executor:
         if self.paused:
             if self.n_active == 0 and self.pending_recover:
                 self.pending_recover = False
-                self._push(now, "recover", {})
+                self._push(now, "recover")
         else:
             touched.add(wid)
             self._schedule_pass(now, touched)
 
-    def _apply_done(self, now: float, eid: int, p: dict) -> None:
-        wid = p["worker"]
-        touched: set[int] = set()
-        if p["kind"] == "task":
-            rt = self.channels[p["cid"]]
-            desc = p["desc"]
-            w = self.workers[wid]
-            ft = self.cfg.ft_mode
-            # Backup / spool, then commit, then deliver: consumers only ever
-            # see outputs whose lineage is committed (the core invariant).
-            fused = self.fused_out[rt.cid[0]]
-            for (seq, out), rec in zip(desc["outputs"], desc["records"]):
-                name: TaskName = (rt.cid[0], rt.cid[1], seq)
-                loc: Optional[int | str] = None
-                if fused:
-                    loc = "fused"  # intra-channel pipe: nothing persisted
-                elif ft in ("wal", "checkpoint"):
-                    w.backup(name, out)
-                    loc = wid
-                elif ft in ("spool_s3", "spool_hdfs"):
-                    if name not in self.durable:
-                        self.durable.put(name, out, pdf_nbytes(out))
-                        self.stats["spooled_bytes"] += pdf_nbytes(out)
-                    loc = DURABLE
-                if not desc["retrace"]:
-                    close = desc["close"] if seq == desc["outputs"][-1][0] else None
-                    self.store.commit_task(
-                        rt.cid, seq, rec, loc if loc is not None else "none", close
-                    )
-                elif loc is not None:
-                    self.store.set_location(name, loc)
-            for dest, u, seq, sl in p["deliveries"]:
-                self._deliver(dest, u, seq, sl)
-                touched.add(self.channels[dest].worker)
-            if rt.cid[0] == self.plan.final_stage:
-                for seq, out in desc["outputs"]:
-                    self.client.setdefault((rt.cid, seq), out)
-            rt.active = False
-            rt.exec_count += 1
-            self.stats["n_tasks"] += 1
-            if desc["close"] is not None and self.cfg.exec_mode == "stagewise":
-                # A channel closing can flip a whole stage to ready; wake
-                # every worker (stage-readiness is global state).
-                touched.update(w2.wid for w2 in self.workers if w2.alive)
-            if desc["retrace"] and rt.next_seq >= rt.retrace:
-                rt.retrace = 0
-                rt.retrace_records = []
-                rt.monolithic = False
-            if desc["close"] is not None or (
-                self.store.closed_total(rt.cid) is not None
-                and rt.next_seq >= self.store.lineage_len(rt.cid)
-            ):
-                if not desc["retrace"] or rt.retrace == 0:
-                    rt.done = True
-        elif p["kind"] == "replay":
-            self.stats["n_replays"] += 1
-            self._deliver(p["dest"], (p["source"][0], p["source"][1]), p["source"][2], p["slice"])
-            touched.add(self.channels[p["dest"]].worker)
-        elif p["kind"] == "rescan":
-            self.stats["n_rescans"] += 1
-            name, out = p["name"], p["out"]
-            cid = (name[0], name[1])
-            if (
-                self.cfg.ft_mode in ("wal", "checkpoint")
-                and not self.fused_out[name[0]]
-            ):
-                self.workers[wid].backup(name, out)
-                self.store.set_location(name, wid)
-            for dest, u, s, sl in self._deliveries_for(cid, name[2], out):
-                self._deliver(dest, u, s, sl)
-                touched.add(self.channels[dest].worker)
-            if name[0] == self.plan.final_stage:
-                self.client.setdefault((cid, name[2]), out)
-        self._finish_event(now, eid, wid, touched)
+    def _persist(
+        self, w: Worker, name: TaskName, out: Optional[pd.DataFrame]
+    ) -> Optional[int | str]:
+        """Back up or spool one output; return its GCS location, or None
+        when the fault-tolerance mode persists nothing."""
+        if self.fused_out[name[0]]:
+            return "fused"  # intra-channel pipe: nothing persisted
+        if self.backup_local:
+            w.backup(name, out)
+            return w.wid
+        if self.spool_kind:
+            if name not in self.durable:
+                self.durable.put(name, out)
+                self.stats["spooled_bytes"] += pdf_nbytes(out)
+            return DURABLE
+        return None
+
+    def _apply_task(
+        self, wid: int, rt: ChannelRt, task: Task, deliveries: list
+    ) -> set[int]:
+        # Backup / spool, then commit, then deliver: consumers only ever
+        # see outputs whose lineage is committed (the core invariant).
+        for (seq, out), rec in zip(task.outputs, task.records):
+            name: TaskName = (rt.cid[0], rt.cid[1], seq)
+            loc = self._persist(self.workers[wid], name, out)
+            if not task.retrace:
+                close = task.close if seq == task.outputs[-1][0] else None
+                self.store.commit_task(
+                    rt.cid, seq, rec, loc if loc is not None else "none", close
+                )
+            elif loc is not None:
+                self.store.set_location(name, loc)
+        touched = self._deliver(deliveries)
+        if rt.cid[0] == self.plan.final_stage:
+            for seq, out in task.outputs:
+                self.client.setdefault((rt.cid, seq), out)
+        rt.active = False
+        self.stats["n_tasks"] += 1
+        if task.close is not None and self.cfg.exec_mode == "stagewise":
+            # A channel closing can flip a whole stage to ready; wake
+            # every worker (stage-readiness is global state).
+            touched.update(w2.wid for w2 in self.workers if w2.alive)
+        if task.retrace and rt.next_seq >= rt.retrace:
+            rt.retrace = 0
+            rt.retrace_records = []
+        if task.close is not None or (
+            self.store.closed_total(rt.cid) is not None
+            and rt.next_seq >= self.store.lineage_len(rt.cid)
+        ):
+            if not task.retrace or rt.retrace == 0:
+                rt.done = True
+        return touched
+
+    def _apply_replay(
+        self, wid: int, source: TaskName, dest: ChannelId, sl
+    ) -> set[int]:
+        self.stats["n_replays"] += 1
+        return self._deliver([(dest, (source[0], source[1]), source[2], sl)])
+
+    def _apply_rescan(
+        self, wid: int, name: TaskName, out: Optional[pd.DataFrame]
+    ) -> set[int]:
+        self.stats["n_rescans"] += 1
+        cid = (name[0], name[1])
+        if self.backup_local and not self.fused_out[name[0]]:
+            self.workers[wid].backup(name, out)
+            self.store.set_location(name, wid)
+        touched = self._deliver(self._deliveries_for(cid, name[2], out))
+        if name[0] == self.plan.final_stage:
+            self.client.setdefault((cid, name[2]), out)
+        return touched
 
     # ----------------------------------------------------------------- failure
 
@@ -864,7 +789,7 @@ class Executor:
             rt = self.channels[cid]
             rt.active = False
             rt.inbox.clear()
-        self._push(now + self.cost.detect_delay_s, "detect", {})
+        self._push(now + self.cost.detect_delay_s, "detect")
 
     def _apply_detect(self, now: float) -> None:
         # Coordinator raises the GCS barrier: TaskManagers stop starting
@@ -873,7 +798,7 @@ class Executor:
         self.paused = True
         self.store.set_recovery_flag(True)
         if self.n_active == 0:
-            self._push(now, "recover", {})
+            self._push(now, "recover")
         else:
             self.pending_recover = True
 
@@ -900,7 +825,6 @@ class Executor:
         )
         rplan = plan_recovery(
             self.store,
-            stage_upstreams=self.plan.stage_upstreams(),
             stage_channels={s: self.widths[s] for s in range(len(self.plan.stages))},
             input_stages=self.plan.input_stages(),
             dead_workers=self.dead,
@@ -919,7 +843,6 @@ class Executor:
             rt.next_seq = 0
             rt.retrace = self.store.lineage_len(cid)
             rt.retrace_records = self.store.lineage(cid)
-            rt.monolithic = self.cfg.recovery_mode == "data_parallel"
             rt.watermark = {}
             rt.inbox = {}
             rt.flushed = False
@@ -931,8 +854,6 @@ class Executor:
             # Committed scans are re-run data-parallel (rescans); the
             # channel itself resumes at its next un-scanned batch.
             rt.next_seq = self.store.lineage_len(cid)
-            rt.retrace = 0
-            rt.retrace_records = []
             rt.active = False
             rt.done = (
                 self.store.closed_total(cid) is not None
@@ -941,10 +862,8 @@ class Executor:
         for r in rplan.rescans:
             self.special[r.worker].append(("rescan", r.name, r.batch_idx))
         for r in rplan.replays:
-            if r.owner == DURABLE:
-                wid = self.channels[r.dest].worker
-            else:
-                wid = r.owner
+            # A spooled output is fetched by its consumer's own worker.
+            wid = self.channels[r.dest].worker if r.owner == DURABLE else r.owner
             self.special[wid].append(("replay", r.source, r.dest))
         self.paused = False
         self.store.set_recovery_flag(False)

@@ -16,8 +16,8 @@ matching a system measured in the paper:
                         no aggregation pushdown (per §V-C).
 * ``trino_noft``      — Trino with fault tolerance off.
 * ``spark``           — stagewise (blocking) + upstream backup + data-
-                        parallel recovery (monolithic per-partition
-                        recompute tasks), with partial aggregation
+                        parallel recovery (one recompute task per lost
+                        partition), with partial aggregation
                         (SparkSQL performs partial aggregation) and
                         ~2x-slower row-oriented kernels.
 

@@ -4,12 +4,10 @@ SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
 benchmarks use SF~=0.1. Generators are deterministic in ``seed`` so the
 DuckDB oracle sees identical input.
 
-Two layers:
-
-* ``*_pdf(sf, seed)`` — pandas generators. The engine substrate, the
-  DuckDB oracle and fast unit tests consume these directly.
-* ``lineitem(spark, ...)`` etc. — Spark wrappers over the pandas
-  generators, used by the real-SparkSQL baseline and the Spark jobs.
+``*_pdf(sf, seed)`` are pandas generators. The engine substrate, the
+DuckDB oracle and the real-SparkSQL baseline (whose temp views are made
+from the same frames by ``sparkbridge.sparksql.register_views``) all
+consume them, so every system reads identical input.
 
 All eight TPC-H tables are provided (lineitem, orders, customer, part,
 supplier, partsupp, nation, region) with the column subset needed by the
@@ -20,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 _N_LINEITEM_PER_SF = 6_000_000
 _N_ORDERS_PER_SF = 1_500_000
@@ -235,74 +232,3 @@ def split_batches(pdf: pd.DataFrame, n_batches: int) -> list[pd.DataFrame]:
         pdf.iloc[bounds[i] : bounds[i + 1]].reset_index(drop=True)
         for i in range(n_batches)
     ]
-
-
-# ---------------------------------------------------------------------------
-# Spark wrappers
-# ---------------------------------------------------------------------------
-
-def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
-    return spark.createDataFrame(lineitem_pdf(sf=sf, seed=seed))
-
-
-def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame:
-    return spark.createDataFrame(orders_pdf(sf=sf, seed=seed))
-
-
-def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFrame:
-    return spark.createDataFrame(customer_pdf(sf=sf, seed=seed))
-
-
-def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
-    return spark.createDataFrame(part_pdf(sf=sf, seed=seed))
-
-
-def supplier(spark: SparkSession, *, sf: float = 0.01, seed: int = 6) -> DataFrame:
-    return spark.createDataFrame(supplier_pdf(sf=sf, seed=seed))
-
-
-def partsupp(spark: SparkSession, *, sf: float = 0.01, seed: int = 7) -> DataFrame:
-    return spark.createDataFrame(partsupp_pdf(sf=sf, seed=seed))
-
-
-def nation(spark: SparkSession, **_: object) -> DataFrame:
-    return spark.createDataFrame(nation_pdf())
-
-
-def region(spark: SparkSession, **_: object) -> DataFrame:
-    return spark.createDataFrame(region_pdf())
-
-
-def register_tpch_views(
-    spark: SparkSession, *, sf: float = 0.01
-) -> dict[str, pd.DataFrame]:
-    """Create temp views for all tables; return the pandas frames used.
-
-    Returning the pandas frames lets callers hand the *same* data to the
-    DuckDB oracle, so Spark and DuckDB provably read identical input.
-    """
-    db = tpch_db(sf=sf)
-    for name, pdf in db.items():
-        spark.createDataFrame(pdf).createOrReplaceTempView(name)
-    return db
-
-
-def zipf_keys(
-    spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, seed: int = 3
-) -> DataFrame:
-    """Skewed key column — for join-skew / cardinality-estimation papers."""
-    g = _rng(seed)
-    ranks = np.arange(1, n_keys + 1)
-    weights = 1.0 / ranks**alpha
-    weights /= weights.sum()
-    keys = g.choice(ranks, size=n, p=weights)
-    return spark.createDataFrame(pd.DataFrame({"k": keys, "v": g.random(n)}))
-
-
-def uniform_keys(
-    spark: SparkSession, *, n: int, n_keys: int, seed: int = 4
-) -> DataFrame:
-    g = _rng(seed)
-    return spark.createDataFrame(
-        pd.DataFrame({"k": g.integers(1, n_keys + 1, n), "v": g.random(n)})
-    )

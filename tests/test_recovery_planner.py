@@ -24,11 +24,25 @@ def _pipeline_store(*, scan_worker=None):
     return st
 
 
-TOPO = dict(
-    stage_upstreams={0: [], 1: [0]},
-    stage_channels={0: 2, 1: 2},
-    input_stages={0},
-)
+def _topo(stage_upstreams, stage_channels, input_stages):
+    """Planner topology arguments, with every channel wired to every
+    channel of each of its upstream stages (no fused edges)."""
+    return dict(
+        stage_channels=stage_channels,
+        input_stages=input_stages,
+        upstream_channels={
+            (s, c): [
+                (u, uc)
+                for u in stage_upstreams[s]
+                for uc in range(stage_channels[u])
+            ]
+            for s in stage_channels
+            for c in range(stage_channels[s])
+        },
+    )
+
+
+TOPO = _topo({0: [], 1: [0]}, {0: 2, 1: 2}, {0})
 
 
 def test_only_failed_channels_rewound():
@@ -78,9 +92,7 @@ def test_pipelined_parallel_placement():
     st.commit_task((0, 0), 0, ScanLineage(0), 0, close_total=1)
     plan = plan_recovery(
         st,
-        stage_upstreams={0: [], 1: [0], 2: [1], 3: [2]},
-        stage_channels={0: 1, 1: 1, 2: 1, 3: 1},
-        input_stages={0},
+        **_topo({0: [], 1: [0], 2: [1], 3: [2]}, {0: 1, 1: 1, 2: 1, 3: 1}, {0}),
         dead_workers={5},
         live_workers=[0, 1, 2],
     )
@@ -104,9 +116,7 @@ def test_transitive_rewind_when_backup_lost():
     st.prune_locations({1, 2})
     plan = plan_recovery(
         st,
-        stage_upstreams={0: [], 1: [0], 2: [1]},
-        stage_channels={0: 1, 1: 1, 2: 1},
-        input_stages={0},
+        **_topo({0: [], 1: [0], 2: [1]}, {0: 1, 1: 1, 2: 1}, {0}),
         dead_workers={1, 2},
         live_workers=[0],
     )

@@ -106,13 +106,3 @@ def test_dates_in_tpch_range():
     assert li.l_shipdate.min() >= pd.Timestamp("1992-01-01")
     assert li.l_shipdate.max() <= pd.Timestamp("1998-12-31")
 
-
-def test_zipf_keys_skewed(spark):
-    df = sd.zipf_keys(spark, n=5000, n_keys=100).toPandas()
-    counts = df.k.value_counts()
-    assert counts.iloc[0] > 5 * counts.iloc[-1]
-
-
-def test_uniform_keys_cover(spark):
-    df = sd.uniform_keys(spark, n=5000, n_keys=10).toPandas()
-    assert df.k.nunique() == 10
