@@ -19,6 +19,7 @@ Values must be JSON-serialisable (the lineage codecs in
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
@@ -77,10 +78,11 @@ class Gcs:
                 3 if op[0] == "del" else 4
             ):
                 raise TransactionError(f"malformed op: {op!r}")
-        # Write-ahead: journal before apply.
+        # Write-ahead: journal (flushed and fsynced) before apply.
         if self._fh is not None:
             self._fh.write(json.dumps(ops) + "\n")
             self._fh.flush()
+            os.fsync(self._fh.fileno())
         self._journal.append(ops)
         self.txn_count += 1
         for op in ops:

@@ -95,6 +95,10 @@ class LineageStore:
     def closed_total(self, cid: ChannelId) -> Optional[int]:
         return self.gcs.get("closed", encode_channel(cid))
 
+    def close_empty(self, cid: ChannelId) -> None:
+        """Close a channel that produces nothing (an input with no batches)."""
+        self.gcs.set("closed", encode_channel(cid), 0)
+
     def watermark(self, cid: ChannelId) -> dict[ChannelId, int]:
         """Outputs consumed so far per upstream channel (paper's input
         vector ``B``) — derived purely from committed lineage, so it is

@@ -25,9 +25,9 @@ Execution modes (the experiment matrix; DESIGN.md §3):
 
 * ``exec_mode``: ``pipelined`` | ``stagewise`` (a stage's channels may
   not start until every upstream stage has closed — SparkSQL-like).
-* ``dep_mode``: ``dynamic`` (consume all available outputs from the
-  richest upstream channel) | ``static`` (consume exactly
-  ``static_batch`` outputs, waiting for them if necessary).
+* ``static_batch``: ``None`` (dynamic: consume all available outputs of
+  the richest upstream channel) | ``k`` (static: consume exactly ``k``
+  outputs, waiting for them if necessary).
 * ``ft_mode``: ``none`` | ``wal`` | ``spool_s3`` | ``spool_hdfs`` |
   ``checkpoint``. With ``none`` there are no backups at all, so a
   failure degenerates to re-executing the whole pipeline — the paper's
@@ -68,25 +68,44 @@ from .simtime import CostModel
 from .util import concat_batches, pdf_nbytes, row_nbytes
 
 
+#: Task slots per worker (r6id instances; the paper's two cluster shapes
+#: hold cores × workers constant, and so do we).
+SLOTS_PER_WORKER = 2
+#: Dynamic dependencies consume everything available, but not before
+#: this many upstream outputs have accumulated (unless the upstream
+#: closed) — models TaskManager poll granularity / "maximize the number
+#: of input batches consumed" (paper §IV-A).
+DYNAMIC_MIN = 4
+#: ``ft_mode="checkpoint"`` snapshots operator state to S3 after every
+#: this many outputs of a channel (incremental checkpointing, §V-C).
+CKPT_EVERY = 4
+
+
 @dataclass
 class ExecConfig:
+    """One system configuration. The defaults are Quokka's."""
+
     n_workers: int = 4
-    slots_per_worker: int = 2
-    width: Optional[int] = None  # channels per data-parallel stage; default n_workers
     exec_mode: str = "pipelined"
-    dep_mode: str = "dynamic"
-    static_batch: int = 8
-    #: dynamic mode consumes everything available, but not before this
-    #: many upstream outputs have accumulated (unless the upstream
-    #: closed) — models TaskManager poll granularity / "maximize the
-    #: number of input batches consumed" (paper §IV-A).
-    dynamic_min: int = 4
+    static_batch: Optional[int] = None  # None: dynamic deps; k: static(k)
     ft_mode: str = "wal"
     recovery_mode: str = "pipelined_parallel"
-    ckpt_every: int = 4
     input_batches: int = 16
     cost: CostModel = field(default_factory=CostModel)
     journal_path: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        for name, allowed in (
+            ("exec_mode", ("pipelined", "stagewise")),
+            ("ft_mode", ("none", "wal", "spool_s3", "spool_hdfs", "checkpoint")),
+            ("recovery_mode", ("pipelined_parallel", "data_parallel")),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"unknown {name} {value!r}; expected one of {allowed}")
+        k = self.static_batch
+        if self.n_workers < 1 or (k is not None and k < 1):
+            raise ValueError(f"n_workers and static_batch must be >= 1: {self}")
 
 
 @dataclass
@@ -123,12 +142,11 @@ class ChannelRt:
     cid: ChannelId
     spec: Stage
     worker: int
-    upstream_cids: list[ChannelId]
-    uidx: dict[ChannelId, int]
+    uidx: dict[ChannelId, int]  # upstream channel -> operator input
     op: Optional[Operator]
     scan_batches: list[int]
     next_seq: int = 0
-    retrace: int = 0  # replay committed lineage for seq < retrace
+    #: committed lineage to replay, one record per seq (empty: streaming)
     retrace_records: list[LineageRecord] = field(default_factory=list)
     watermark: dict[ChannelId, int] = field(default_factory=dict)
     inbox: dict[ChannelId, dict[int, Optional[pd.DataFrame]]] = field(
@@ -163,7 +181,7 @@ class Executor:
         self.cost = cfg.cost
         self.store = store or LineageStore(Gcs(cfg.journal_path))
         self.durable = DurableStore()
-        self.workers = [Worker(i, cfg.slots_per_worker) for i in range(cfg.n_workers)]
+        self.workers = [Worker(i, SLOTS_PER_WORKER) for i in range(cfg.n_workers)]
         self._ran = False
 
         # -- instantiate channels ------------------------------------------
@@ -175,10 +193,8 @@ class Executor:
         for sid, spec in enumerate(plan.stages):
             if spec.n_channels:
                 w = spec.n_channels
-            elif cfg.width:
-                w = cfg.width
             elif isinstance(spec, ScanStage):
-                w = cfg.n_workers * cfg.slots_per_worker
+                w = cfg.n_workers * SLOTS_PER_WORKER
             else:
                 w = cfg.n_workers
             if isinstance(spec, OpStage):
@@ -193,7 +209,7 @@ class Executor:
                 # An "aligned" upstream is a fused pipe: this channel is
                 # wired only to its same-index producer, not to every
                 # channel of the upstream stage.
-                uidx: dict[ChannelId, int] = {}  # upstream channel -> input
+                uidx: dict[ChannelId, int] = {}  # plans are trees: no repeats
                 if isinstance(spec, OpStage):
                     for i, up in enumerate(spec.upstreams):
                         if spec.partition_keys[i] == "aligned":
@@ -201,14 +217,13 @@ class Executor:
                         else:
                             for uch in range(self.widths[up]):
                                 uidx[(up, uch)] = i
-                ups = list(uidx)  # plans are trees: no upstream repeats
                 worker = ch % cfg.n_workers
                 if isinstance(spec, ScanStage):
                     n_batches = len(tables[spec.table])
                     batches = list(range(ch, n_batches, self.widths[sid]))
-                    rt = ChannelRt(cid, spec, worker, ups, uidx, None, batches)
+                    rt = ChannelRt(cid, spec, worker, uidx, None, batches)
                 else:
-                    rt = ChannelRt(cid, spec, worker, ups, uidx, spec.make_op(), [])
+                    rt = ChannelRt(cid, spec, worker, uidx, spec.make_op(), [])
                 self.channels[cid] = rt
                 self.store.set_assignment(cid, worker)
 
@@ -283,7 +298,7 @@ class Executor:
         self._ran = True
         for cid, rt in self.channels.items():
             if isinstance(rt.spec, ScanStage) and not rt.scan_batches:
-                self.store.gcs.set("closed", f"{cid[0]}.{cid[1]}", 0)
+                self.store.close_empty(cid)
                 rt.done = True
         for f in failures:
             self._push(f.at_time, "fail", f.worker)
@@ -391,7 +406,7 @@ class Executor:
             return None
         if isinstance(rt.spec, ScanStage):
             return self._build_scan(rt)
-        if rt.next_seq < rt.retrace:
+        if rt.next_seq < len(rt.retrace_records):
             return self._build_retrace(rt)
         return self._build_streaming(rt)
 
@@ -446,7 +461,7 @@ class Executor:
         present. Quokka retraces one record per task; Spark-sim's task
         granularity is the channel's whole remaining history."""
         if self.cfg.recovery_mode == "data_parallel":
-            end = rt.retrace
+            end = len(rt.retrace_records)
         else:
             end = rt.next_seq + 1
         recs = rt.retrace_records[rt.next_seq : end]
@@ -477,7 +492,7 @@ class Executor:
         nor violates the committed-lineage invariant. This is pure
         sequence-number bookkeeping for closure detection.
         """
-        for u in rt.upstream_cids:
+        for u in rt.uidx:
             box = rt.inbox.get(u)
             if not box:
                 continue
@@ -490,9 +505,10 @@ class Executor:
 
     def _build_streaming(self, rt: ChannelRt) -> Optional[Task]:
         self._skip_empty(rt)
+        k = self.cfg.static_batch
         best_u, best_avail = None, 0
         all_closed_and_drained = True
-        for u in rt.upstream_cids:
+        for u in rt.uidx:
             # Algorithm 1: only inputs with committed lineage are eligible.
             avail = rt.avail(u)
             if avail:
@@ -500,17 +516,12 @@ class Executor:
             closed = self.store.closed_total(u)
             if closed is None or rt.watermark.get(u, 0) + avail < closed:
                 all_closed_and_drained = False
-            remaining = None if closed is None else closed - rt.watermark.get(u, 0)
-            drained_u = remaining is not None and avail == remaining and avail > 0
-            if self.cfg.dep_mode == "static":
-                if avail >= self.cfg.static_batch:
-                    take = self.cfg.static_batch
-                elif drained_u:
-                    take = avail
-                else:
-                    take = 0
-            else:
-                take = avail if (avail >= self.cfg.dynamic_min or drained_u) else 0
+            drained_u = avail > 0 and closed == rt.watermark.get(u, 0) + avail
+            # Static takes k outputs at a time, dynamic all of them; either
+            # waits for a full batch unless the upstream is drained.
+            if avail < (k or DYNAMIC_MIN) and not drained_u:
+                continue
+            take = min(avail, k or avail)
             if take > best_avail:
                 best_u, best_avail = u, take
 
@@ -580,7 +591,7 @@ class Executor:
             rowb = row_nbytes(out) if out is not None else 0
             for dest, u, s, sl in self._deliveries_for(rt.cid, seq, out):
                 drt = self.channels[dest]
-                if task.retrace and drt.retrace == 0:
+                if task.retrace and not drt.retrace_records:
                     # A retracing producer consults the consumers'
                     # *committed* watermarks in the GCS and skips
                     # re-transmitting outputs they provably consumed.
@@ -625,7 +636,7 @@ class Executor:
             t += cost.gcs_txn_s
         if self.checkpoint and rt.op is not None:
             last_seq = task.outputs[-1][0]
-            if (last_seq + 1) % cfg.ckpt_every == 0:
+            if (last_seq + 1) % CKPT_EVERY == 0:
                 t = w.nic.reserve(t, cost.durable_time(rt.op.state_nbytes(), "s3"))
         self._start(t, w, "task", (w.wid, rt, task, deliveries))
 
@@ -740,14 +751,13 @@ class Executor:
             # A channel closing can flip a whole stage to ready; wake
             # every worker (stage-readiness is global state).
             touched.update(w2.wid for w2 in self.workers if w2.alive)
-        if task.retrace and rt.next_seq >= rt.retrace:
-            rt.retrace = 0
+        if task.retrace and rt.next_seq >= len(rt.retrace_records):
             rt.retrace_records = []
         if task.close is not None or (
             self.store.closed_total(rt.cid) is not None
             and rt.next_seq >= self.store.lineage_len(rt.cid)
         ):
-            if not task.retrace or rt.retrace == 0:
+            if not task.retrace or not rt.retrace_records:
                 rt.done = True
         return touched
 
@@ -819,8 +829,7 @@ class Executor:
         extra_dests = frozenset(
             cid
             for cid, rt in self.channels.items()
-            if rt.retrace
-            and rt.next_seq < rt.retrace
+            if rt.next_seq < len(rt.retrace_records)
             and self.workers[rt.worker].alive
         )
         rplan = plan_recovery(
@@ -831,7 +840,7 @@ class Executor:
             live_workers=live,
             extra_dests=extra_dests,
             upstream_channels={
-                cid: rt.upstream_cids for cid, rt in self.channels.items()
+                cid: list(rt.uidx) for cid, rt in self.channels.items()
             },
         )
         self.stats["rewound"].append(list(rplan.rewound))
@@ -841,7 +850,6 @@ class Executor:
             self._rehome(cid, rplan.new_assignments[cid])
             rt.op = self.plan.stages[cid[0]].make_op()
             rt.next_seq = 0
-            rt.retrace = self.store.lineage_len(cid)
             rt.retrace_records = self.store.lineage(cid)
             rt.watermark = {}
             rt.inbox = {}

@@ -40,7 +40,7 @@ class Timeline:
         self.busy_until = 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostModel:
     """Calibrated constants (see module docstring). All sizes in bytes
     *after* ``bytes_scale`` is applied by the helpers."""

@@ -21,89 +21,73 @@ matching a system measured in the paper:
                         (SparkSQL performs partial aggregation) and
                         ~2x-slower row-oriented kernels.
 
-Workers model r6id instances: 2 task slots per worker (the paper's two
-cluster shapes hold cores×workers constant; we do the same).
+Workers model r6id instances with 2 task slots each
+(``executor.SLOTS_PER_WORKER``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..engine.executor import ExecConfig
 from ..engine.simtime import CostModel
 
 #: Scale factor / batch count used by benchmarks (SF0.1 rescaled to
-#: SF100-equivalent volumes by CostModel.bytes_scale) and by tests.
+#: SF100-equivalent volumes by CostModel.bytes_scale).
 BENCH_SF = 0.1
 BENCH_INPUT_BATCHES = 64
-TEST_SF = 0.01
-TEST_INPUT_BATCHES = 16
+
+#: Single-node kernel throughput (bytes/s/slot). Quokka uses DuckDB/
+#: Polars kernels (``CostModel``'s defaults); SparkSQL's Tungsten row
+#: kernels are ~2x slower (paper §V-A attributes part of the gap to
+#: kernels); Trino's vectorised Java kernels are the fastest (see
+#: ``trino`` below).
+TRINO_COST = CostModel(cpu_bytes_per_sec=1000e6, scan_bytes_per_sec=500e6)
+SPARK_COST = CostModel(cpu_bytes_per_sec=280e6, scan_bytes_per_sec=280e6)
+
 
 @dataclass(frozen=True)
 class System:
-    name: str
-    exec_mode: str
-    dep_mode: str
-    static_batch: int
-    ft_mode: str
-    recovery_mode: str
-    pushdown: bool
-    #: single-node kernel throughput (bytes/s/slot). Quokka uses DuckDB/
-    #: Polars kernels; SparkSQL's Tungsten row kernels are ~2x slower
-    #: (paper §V-A attributes part of the gap to kernels); Trino's
-    #: vectorised Java kernels sit in between.
-    cpu_bps: float = 600e6
-    scan_bps: float = 350e6
+    """An engine configuration plus whether the system's plans push
+    partial aggregation into the scans."""
+
+    cfg: ExecConfig
+    pushdown: bool = True
 
     def exec_config(self, n_workers: int, input_batches: int) -> ExecConfig:
-        cost = CostModel(
-            cpu_bytes_per_sec=self.cpu_bps, scan_bytes_per_sec=self.scan_bps
-        )
-        return ExecConfig(
-            n_workers=n_workers,
-            slots_per_worker=2,
-            exec_mode=self.exec_mode,
-            dep_mode=self.dep_mode,
-            static_batch=self.static_batch,
-            ft_mode=self.ft_mode,
-            recovery_mode=self.recovery_mode,
-            input_batches=input_batches,
-            cost=cost,
-        )
+        return replace(self.cfg, n_workers=n_workers, input_batches=input_batches)
 
 
+# ``ExecConfig``'s defaults are Quokka: pipelined, dynamic deps, write-ahead
+# lineage, pipelined-parallel recovery.
 SYSTEMS: dict[str, System] = {
-    "quokka": System("quokka", "pipelined", "dynamic", 0, "wal",
-                     "pipelined_parallel", True),
-    "quokka_noft": System("quokka_noft", "pipelined", "dynamic", 0, "none",
-                          "pipelined_parallel", True),
-    "quokka_stagewise": System("quokka_stagewise", "stagewise", "dynamic", 0,
-                               "wal", "pipelined_parallel", True),
+    "quokka": System(ExecConfig()),
+    "quokka_noft": System(ExecConfig(ft_mode="none")),
+    "quokka_stagewise": System(ExecConfig(exec_mode="stagewise")),
     # Fig 8's static strategies. The paper batches 8 vs 128 partitions at
     # SF100 (~thousands of partitions per channel); at our batch counts
     # the scale-equivalent pair is 2 vs 16 (small: fine-grained
     # pipelining, many tiny shuffles; large: effectively stage-at-a-time).
-    "quokka_static_small": System("quokka_static_small", "pipelined",
-                                  "static", 2, "wal", "pipelined_parallel",
-                                  True),
-    "quokka_static_large": System("quokka_static_large", "pipelined",
-                                  "static", 16, "wal", "pipelined_parallel",
-                                  True),
-    "quokka_spool": System("quokka_spool", "pipelined", "dynamic", 0,
-                           "spool_s3", "pipelined_parallel", True),
-    "quokka_ckpt": System("quokka_ckpt", "pipelined", "dynamic", 0,
-                          "checkpoint", "pipelined_parallel", True),
+    "quokka_static_small": System(ExecConfig(static_batch=2)),
+    "quokka_static_large": System(ExecConfig(static_batch=16)),
+    "quokka_spool": System(ExecConfig(ft_mode="spool_s3")),
+    "quokka_ckpt": System(ExecConfig(ft_mode="checkpoint")),
     # Trino without FT is *faster* than Quokka (paper Figs 6+9 imply
     # trino-noFT ≈ 0.8x quokka: with-FT is 1.25-1.7x slower while spooling
     # alone costs 1.5-2.7x) — its mature vectorised Java kernels outrun
     # Quokka's Python-orchestrated DuckDB/Polars calls.
-    "trino": System("trino", "pipelined", "static", 8, "spool_hdfs",
-                    "pipelined_parallel", False, cpu_bps=1000e6,
-                    scan_bps=500e6),
-    "trino_noft": System("trino_noft", "pipelined", "static", 8, "none",
-                         "pipelined_parallel", False, cpu_bps=1000e6,
-                         scan_bps=500e6),
-    "spark": System("spark", "stagewise", "dynamic", 0, "wal",
-                    "data_parallel", True, cpu_bps=280e6, scan_bps=280e6),
+    "trino": System(
+        ExecConfig(static_batch=8, ft_mode="spool_hdfs", cost=TRINO_COST),
+        pushdown=False,
+    ),
+    "trino_noft": System(
+        ExecConfig(static_batch=8, ft_mode="none", cost=TRINO_COST),
+        pushdown=False,
+    ),
+    "spark": System(
+        ExecConfig(
+            exec_mode="stagewise", recovery_mode="data_parallel", cost=SPARK_COST
+        )
+    ),
 }
 
 #: Fault-tolerance design-choice matrix (paper Table I), derived from the

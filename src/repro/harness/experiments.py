@@ -248,7 +248,7 @@ def table1_rows() -> list[dict]:
     flink_like = {"Kafka Streams": ("spool", "ckpt", "lineage"),
                   "Flink": ("ckpt",), "StreamScope": ("ckpt", "lineage")}
     for label, sysname in TABLE1_SYSTEMS.items():
-        s = SYSTEMS[sysname]
+        s = SYSTEMS[sysname].cfg
         rows.append(
             {"system": label,
              "description": "Pipelined SQL" if s.exec_mode == "pipelined"

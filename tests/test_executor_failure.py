@@ -170,7 +170,7 @@ def test_restartlike_recovery_with_ft_none(runner):
 
 
 def test_static_deps_recovery(runner):
-    check(runner, "q3", failure=(2, 0.5), dep_mode="static", static_batch=2)
+    check(runner, "q3", failure=(2, 0.5), static_batch=2)
 
 
 def test_two_worker_cluster_recovery(runner):

@@ -7,6 +7,7 @@ FT modes, and cluster widths.
 import pytest
 
 from repro import oracle
+from repro.engine.executor import ExecConfig
 from repro.queries.tpch import QUERIES, REPRESENTATIVE
 
 
@@ -34,7 +35,7 @@ def test_query_correct_stagewise(runner, qname):
 @pytest.mark.parametrize("qname", ["q1", "q3", "q9"])
 @pytest.mark.parametrize("k", [2, 8])
 def test_query_correct_static_deps(runner, qname, k):
-    check(runner, qname, dep_mode="static", static_batch=k)
+    check(runner, qname, static_batch=k)
 
 
 @pytest.mark.parametrize("qname", ["q6", "q5"])
@@ -102,3 +103,16 @@ def test_lineage_is_kb_sized(runner):
         pdf_nbytes(b) for t in plan.tables() for b in runner.tables[t]
     )
     assert lineage_bytes < data_bytes / 50
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"static_batch": 0}, {"ft_mode": "wall"}, {"exec_mode": "stagewse"},
+     {"recovery_mode": "data-parallel"}, {"n_workers": 0}],
+    ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+)
+def test_exec_config_rejects_bad_values(bad):
+    """A misspelt mode or an empty batch fails loudly instead of running
+    some other configuration."""
+    with pytest.raises(ValueError):
+        ExecConfig(**bad)

@@ -1,4 +1,6 @@
 """GCS: transactional KV store with a write-ahead journal."""
+import os
+
 import pytest
 
 from repro.core.gcs import Gcs, TransactionError
@@ -88,6 +90,21 @@ def test_journal_written_before_apply(tmp_path):
         lines = fh.readlines()
     assert len(lines) == 1
     assert '"k"' in lines[0]
+
+
+def test_journal_fsynced_once_per_transaction(tmp_path, monkeypatch):
+    """Each transaction fsyncs the journal file once; a store without a
+    journal file never calls fsync."""
+    calls = []
+    monkeypatch.setattr(os, "fsync", calls.append)
+    g = Gcs(journal_path=str(tmp_path / "wal.jsonl"))
+    g.set("ns", "a", 1)
+    g.transaction([["set", "ns", "b", 2], ["del", "ns", "a"]])
+    g.close()
+    assert len(calls) == 2
+    calls.clear()
+    Gcs().transaction([["set", "ns", "a", 1], ["set", "ns", "b", 2]])
+    assert calls == []
 
 
 def test_keys_listing():

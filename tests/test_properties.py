@@ -89,8 +89,7 @@ def test_result_invariant_to_scheduling(k, mode):
     base = _baseline("q3")
     ex = Executor(
         QUERIES["q3"].plan(_DB), _TABLES,
-        ExecConfig(n_workers=4, dep_mode="static", static_batch=k,
-                   exec_mode=mode),
+        ExecConfig(n_workers=4, static_batch=k, exec_mode=mode),
     )
     res = ex.run()
     pd.testing.assert_frame_equal(_sorted(res.df), _sorted(base.df))

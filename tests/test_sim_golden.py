@@ -24,7 +24,7 @@ CONFIGS = {
     "spool_hdfs": {"ft_mode": "spool_hdfs"},
     "checkpoint": {"ft_mode": "checkpoint"},
     "stagewise": {"exec_mode": "stagewise"},
-    "static2": {"dep_mode": "static", "static_batch": 2},
+    "static2": {"static_batch": 2},
     "spark_sim": {"exec_mode": "stagewise", "recovery_mode": "data_parallel"},
 }
 

@@ -26,6 +26,12 @@ def test_commit_is_one_transaction(store):
     assert store.closed_total((0, 0)) == 1
 
 
+def test_close_empty_channel_without_a_task(store):
+    store.close_empty((0, 3))
+    assert store.closed_total((0, 3)) == 0
+    assert store.lineage((0, 3)) == []
+
+
 def test_out_of_order_commit_rejected(store):
     store.commit_task((0, 0), 0, ScanLineage(0), 1)
     with pytest.raises(ValueError):
